@@ -1,11 +1,7 @@
 """The unified sweep facade: one spec type, two entry points.
 
-Before this module existed the repo had three divergent ways to run a
-measurement grid — ``repro.core.runner.run_sweep`` (row dicts),
-``repro.core.experiments.common.measure`` (one configuration, keyed by
-workload) and the diffcheck CLI's ad-hoc request builder — each with
-its own keyword signature.  They are now thin deprecated shims over
-this module:
+Every measurement grid in the repo (the figure experiments, the
+diffcheck sweep, the sweep service) runs through this module:
 
 * :class:`SweepSpec` — the grid description (workloads × runtimes ×
   strategies × ISAs × thread counts, plus size/iterations/warmup).
@@ -20,8 +16,7 @@ Both entry points share the measurement engine (``--jobs`` fan-out +
 content-addressed cache; see :mod:`repro.core.engine`).  Invalid
 combinations (a runtime without the requested ISA backend or strategy,
 thread counts beyond the machine) are skipped by default — pass
-``strict=True`` to raise instead, which is what the legacy shims do to
-preserve their historical error behaviour.
+``strict=True`` to raise instead.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Regenerating the paper's figures walks a grid of
 (37 workloads × 6 runtimes × 5 strategies × 3 ISAs × {1,4,16} threads);
 the figure experiments also overlap heavily (fig3–fig6 all need the
 same thread-scaling measurements).  This module is the execution layer
-under ``run_sweep``/``measure``:
+under :func:`repro.api.run`/:func:`repro.api.measure`:
 
 * **fan-out** — grids run across a ``ProcessPoolExecutor`` with a
   ``--jobs N`` knob.  Every simulation RNG stream is seeded, so results
@@ -729,33 +729,3 @@ def reset_default_engine() -> None:
         _default_engine.close()
     _default_engine = None
     _apply_profile_cache_env(None)
-
-
-def add_engine_args(parser) -> None:
-    """Deprecated: use :func:`repro.core.cliopts.add_sweep_args`."""
-    import warnings
-
-    warnings.warn(
-        "repro.core.engine.add_engine_args is deprecated; use "
-        "repro.core.cliopts.add_sweep_args (or the sweep_parent parser)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.cliopts import add_sweep_args
-
-    add_sweep_args(parser)
-
-
-def configure_from_args(args) -> MeasurementEngine:
-    """Deprecated: use :func:`repro.core.cliopts.configure_sweep`."""
-    import warnings
-
-    warnings.warn(
-        "repro.core.engine.configure_from_args is deprecated; use "
-        "repro.core.cliopts.configure_sweep",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.cliopts import configure_sweep
-
-    return configure_sweep(args)

@@ -94,19 +94,16 @@ def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile
     if key in _memory_cache:
         return _memory_cache[key]
 
-    module, full_digest = module_for(workload_name, size)
-    digest = full_digest[:16]
-    disk_path = _cache_dir() / f"{workload_name.replace('/', '_')}-{size}-{digest}.json"
+    module, digest = module_for(workload_name, size)
+    disk_path = _cache_dir() / f"{workload_name.replace('/', '_')}-{size}-{digest[:16]}.json"
 
     profile: Optional[ExecutionProfile] = None
     if disk_path.exists():
         try:
             profile = _profile_from_json(json.loads(disk_path.read_text()))
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, TypeError):
             profile = None  # stale/corrupt cache entry: recompute
     if profile is None:
-        # Passing the module digest lets the interpreter memoise its
-        # pre-decode (fusion) plan next to the profile cache entries.
         # WASI workloads link against a fresh host environment; the
         # module itself stays the memoised one (same digest) since
         # builds are deterministic.
@@ -117,7 +114,6 @@ def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile
             imports=env.imports() if env is not None else None,
             collect_profile=True,
             track_pages=True,
-            module_digest=full_digest,
         )
         if env is not None:
             env.bind(interp)

@@ -240,7 +240,6 @@ class Interpreter:
         collect_profile: bool = True,
         track_pages: bool = True,
         dispatch: Optional[str] = None,
-        module_digest: Optional[str] = None,
         tier: Optional[str] = None,
     ) -> None:
         if validate:
@@ -272,15 +271,13 @@ class Interpreter:
         self.tier = tier if tier is not None else (
             "legacy" if dispatch == "legacy" else "fused"
         )
-        self._module_digest = module_digest
         self._num_imported = len(module.imports)
         if dispatch == "legacy":
             self._plans: Dict[int, predecode.FunctionPlan] = {}
         else:
-            # Pre-decode every body once at module load; with a module
-            # digest the fused plan is memoised in .cache/profiles/.
+            # Pre-decode every body once at module load.
             self._plans = predecode.plans_for_module(
-                module, module_digest=module_digest, fuse=dispatch == "fused"
+                module, fuse=dispatch == "fused"
             )
         #: absolute func index -> fusion regions applied to its code.
         self._fused_regions: Dict[int, List[predecode.FusedRegion]] = {}

@@ -67,9 +67,6 @@ try:  # NumPy is optional: scalar codegen carries the perf floor alone.
 except Exception:  # pragma: no cover - environment without numpy
     _np = None
 
-#: Bump when generated code or the artifact format changes.
-TIER2_VERSION = 1
-
 M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
 I31 = 1 << 31  # exclusive bound for "plain arithmetic is exact"
@@ -1199,7 +1196,6 @@ class _Compiler:
             for name, kind, arg in self.env_order
         ]
         return {
-            "version": TIER2_VERSION,
             "eligible": True,
             "source": "\n".join(src),
             "env": env,
@@ -1220,7 +1216,6 @@ def compile_function(
         return compiler.compile()
     except Bailout as exc:
         return {
-            "version": TIER2_VERSION,
             "eligible": False,
             "reason": str(exc),
         }
@@ -1268,7 +1263,7 @@ def install(artifact: dict, memory):
             binds[name] = memory.touched_pages
         elif kind == "track":
             binds[name] = memory.track_pages
-        else:  # pragma: no cover - artifact version gates this
+        else:  # pragma: no cover - the compiler emits only the kinds above
             raise ValueError(f"unknown env kind {kind!r}")
     scope.update(binds)
     exec(compile(artifact["source"], "<tier2>", "exec"), scope)

@@ -71,7 +71,7 @@ PHASE_TIMED_END = "phase.timed.end"      # emitted with the end snapshot
 RUN_META = "run.meta"                # workload, runtime, strategy, ...
 RUN_END = "run.end"                  # wall
 
-# -- measurement engine / sweeps (core/engine, core/runner) ----------------
+# -- measurement engine / sweeps (core/engine, api) ------------------------
 MEASURE_REQUEST = "measure.request"  # label, cache_hit, error
 SWEEP_GRID = "sweep.grid"            # requests
 

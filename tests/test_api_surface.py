@@ -1,10 +1,10 @@
-"""The ``repro.api`` facade: surface snapshot, equivalence, shims.
+"""The ``repro.api`` facade: surface snapshot, spec values, BCE rows.
 
 The surface snapshot pins the public names and the :class:`SweepSpec`
 field list so an accidental rename or default change fails loudly; the
-equivalence tests prove the facade returns byte-identical rows to the
-deprecated entry points it replaced; the shim tests pin the
-DeprecationWarning contract the CI deprecation gate relies on.
+canonicalization tests pin the spec's value semantics and digest; the
+remaining tests check the bounds-check counters in ``api.run`` rows and
+that the facade raises no ``DeprecationWarning``.
 """
 
 import dataclasses
@@ -27,13 +27,6 @@ SPEC = api.SweepSpec(
 
 def engine():
     return MeasurementEngine(cache=False)
-
-
-def stable(rows):
-    """Rows minus the wall-clock column (everything else is seeded)."""
-    return [
-        {k: v for k, v in row.items() if k != "elapsed_s"} for row in rows
-    ]
 
 
 class TestSurfaceSnapshot:
@@ -202,49 +195,16 @@ class TestSpecCanonicalization:
 
 
 class TestEquivalence:
-    def test_run_matches_legacy_run_sweep(self):
-        rows = api.run(SPEC, engine=engine())
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            from repro.core.runner import run_sweep
+    """Bounds-check counters in ``api.run`` rows follow the BCE switch."""
 
-            legacy = run_sweep(SPEC, engine=engine())
-        assert stable(rows) == stable(legacy)
-
-    def test_run_matches_legacy_with_bce_disabled(self):
+    def test_run_with_bce_disabled_elides_nothing(self):
         assert bce_enabled()
         try:
             set_bce_enabled(False)
             rows = api.run(SPEC, engine=engine())
-            with pytest.warns(DeprecationWarning):
-                from repro.core.runner import run_sweep
-
-                legacy = run_sweep(SPEC, engine=engine())
         finally:
             set_bce_enabled(True)
-        assert stable(rows) == stable(legacy)
         assert all(row["checks_elided"] == 0 for row in rows)
-
-    def test_measure_matches_legacy_common_measure(self):
-        swept = api.measure(
-            api.SweepSpec(workloads=["gemm"], runtimes=("wavm",),
-                          strategies=("trap",), size="mini", iterations=2),
-            engine=engine(), strict=True,
-        )
-        with pytest.warns(DeprecationWarning, match="repro.api.measure"):
-            from repro.core.experiments import common
-
-            legacy = common.measure(
-                ["gemm"], "wavm", "trap", "x86_64",
-                size="mini", iterations=2, engine=engine(),
-            )
-        from repro.core.engine import measurement_to_json
-
-        ours = swept.per_workload()
-        assert set(ours) == set(legacy)
-        for name in ours:
-            assert measurement_to_json(ours[name]) == measurement_to_json(
-                legacy[name]
-            )
 
     def test_bce_rows_report_counter_movement(self):
         rows = api.run(SPEC, engine=engine())
@@ -258,24 +218,7 @@ class TestEquivalence:
 
 
 class TestDeprecatedShims:
-    def test_runner_module_reexports(self):
-        from repro.core import runner
-
-        assert runner.FIELDS is api.FIELDS
-        assert runner.SweepSpec is api.SweepSpec
-        assert runner.to_csv is api.to_csv
-
-    def test_engine_arg_shims_warn(self):
-        import argparse
-
-        from repro.core import engine as engine_mod
-
-        parser = argparse.ArgumentParser()
-        with pytest.warns(DeprecationWarning, match="cliopts"):
-            engine_mod.add_engine_args(parser)
-        args = parser.parse_args([])
-        with pytest.warns(DeprecationWarning, match="cliopts"):
-            engine_mod.configure_from_args(args)
+    """The old sweep entry points are gone; the facade must not warn."""
 
     def test_facade_itself_is_warning_free(self):
         with warnings.catch_warnings():

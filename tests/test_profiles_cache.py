@@ -1,7 +1,5 @@
 """Tests for the profile cache (memory + disk)."""
 
-import json
-
 import pytest
 
 from repro.core.profiles import clear_profile_cache, profile_for
@@ -36,16 +34,23 @@ class TestProfileCache:
         _, original = profile_for("gemm", "mini")
         files = list(isolated_cache.glob("gemm-mini-*.json"))
         assert len(files) == 1
+        # The profile is the only file a cold profiling run leaves.
+        assert list(isolated_cache.iterdir()) == files
         clear_profile_cache()
         _, reloaded = profile_for("gemm", "mini")
         assert reloaded.instr_counts == original.instr_counts
         assert reloaded.op_totals == original.op_totals
         assert reloaded.grow_events == original.grow_events
 
-    def test_corrupt_disk_entry_recomputed(self, isolated_cache):
+    @pytest.mark.parametrize(
+        "garbage",
+        ["{not json", "[]", '{"workload": "gemm"}'],
+        ids=["not-json", "wrong-type", "missing-keys"],
+    )
+    def test_corrupt_disk_entry_recomputed(self, isolated_cache, garbage):
         profile_for("gemm", "mini")
         path = next(isolated_cache.glob("gemm-mini-*.json"))
-        path.write_text("{not json")
+        path.write_text(garbage)
         clear_profile_cache()
         _, profile = profile_for("gemm", "mini")
         assert profile.total_instrs > 1000

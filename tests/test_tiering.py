@@ -1,24 +1,18 @@
 """Tests for the optimizing tier (tiering.py + vectorize.py).
 
-Covers the tier-up heuristic, tier/dispatch resolution, the disk
-artifact cache and its pruning, bit-identical observables between the
-``opt`` tier and the fused reference (outputs, memory counters,
-touched pages, reconstructed per-pc profiles), the entry-guard deopt
-path, and ``REPRO_TIER_STRICT``.
+Covers the tier-up heuristic, tier/dispatch resolution, bit-identical
+observables between the ``opt`` tier and the fused reference (outputs,
+memory counters, touched pages, reconstructed per-pc profiles), the
+entry-guard deopt path, and ``REPRO_TIER_STRICT``.
 """
 
-import json
 import struct
 
 import pytest
 
 from repro.core.profiles import clear_profile_cache, module_for
-from repro.runtime import tiering, vectorize
+from repro.runtime import vectorize
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.predecode import (
-    interpreter_build_digest,
-    prune_stale_artifacts,
-)
 from repro.wasm import validate_module
 from repro.wasm.wat_parser import parse_wat
 
@@ -39,10 +33,9 @@ def _bits(value):
     return value
 
 
-def _observables(module, digest, tier):
+def _observables(module, tier):
     interp = Interpreter(
-        module, collect_profile=True, track_pages=True,
-        module_digest=digest, tier=tier,
+        module, collect_profile=True, track_pages=True, tier=tier
     )
     out = _bits(interp.invoke("bench"))
     profile = interp.take_profile("x", "y")
@@ -97,24 +90,24 @@ class TestTierResolution:
 class TestTierUpHeuristic:
     def test_cold_functions_stay_on_tier1(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", str(10**9))
-        module, digest = module_for("gemm", "mini")
-        _, interp = _observables(module, digest, "opt")
+        module, _ = module_for("gemm", "mini")
+        _, interp = _observables(module, "opt")
         assert not any(interp._tiering.handlers.values())
 
     def test_hot_functions_tier_up(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
-        module, digest = module_for("gemm", "mini")
-        _, interp = _observables(module, digest, "opt")
+        module, _ = module_for("gemm", "mini")
+        _, interp = _observables(module, "opt")
         installed = [h for h in interp._tiering.handlers.values() if h]
         assert len(installed) >= 2  # init and kernel
 
     def test_score_accumulates_across_calls(self, monkeypatch):
         # Threshold just above one kernel-body score: the second call
         # must tier up even though the first did not.
-        module, digest = module_for("gemm", "mini")
+        module, _ = module_for("gemm", "mini")
         body_len = len(module.funcs[0].body)
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", str(body_len + 1))
-        interp = Interpreter(module, module_digest=digest, tier="opt")
+        interp = Interpreter(module, tier="opt")
         interp.invoke("bench")
         first = sum(1 for h in interp._tiering.handlers.values() if h)
         interp.invoke("bench")
@@ -128,9 +121,9 @@ class TestBitIdentity:
     def test_opt_matches_fused_mini(self, workload, monkeypatch):
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-        module, digest = module_for(workload, "mini")
-        reference, _ = _observables(module, digest, "fused")
-        observed, interp = _observables(module, digest, "opt")
+        module, _ = module_for(workload, "mini")
+        reference, _ = _observables(module, "fused")
+        observed, interp = _observables(module, "opt")
         assert any(interp._tiering.handlers.values())
         for key, value in reference.items():
             assert observed[key] == value, f"{workload}: {key} differs"
@@ -140,9 +133,9 @@ class TestBitIdentity:
         # batched path (not just the scalar codegen) is exercised.
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-        module, digest = module_for("gemm", "small")
-        reference, _ = _observables(module, digest, "fused")
-        observed, _ = _observables(module, digest, "opt")
+        module, _ = module_for("gemm", "small")
+        reference, _ = _observables(module, "fused")
+        observed, _ = _observables(module, "opt")
         for key, value in reference.items():
             assert observed[key] == value, f"gemm-small: {key} differs"
 
@@ -202,62 +195,6 @@ class TestDeopt:
         assert any(interp._tiering.handlers.values())
 
 
-class TestArtifactCache:
-    def test_disk_roundtrip(self, isolated_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
-        module, digest = module_for("gemm", "mini")
-        first, interp = _observables(module, digest, "opt")
-        files = list(isolated_cache.glob("tier2-*.json"))
-        assert len(files) == 1
-        raw = json.loads(files[0].read_text())
-        assert raw["version"] == vectorize.TIER2_VERSION
-        assert any(a.get("eligible") for a in raw["funcs"].values())
-        # A fresh interpreter loads the artifact instead of recompiling
-        # and still produces bit-identical observables.
-        plans = interp._plans
-        reloaded = tiering.artifacts_for_module(module, plans, digest)
-        fresh = tiering.artifacts_for_module(module, plans, None)
-        assert {k: v for k, v in reloaded.items()} == fresh
-        second, _ = _observables(module, digest, "opt")
-        assert second == first
-
-    def test_corrupt_artifact_recompiled(self, isolated_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
-        module, digest = module_for("gemm", "mini")
-        _observables(module, digest, "opt")
-        path = next(isolated_cache.glob("tier2-*.json"))
-        path.write_text("{not json")
-        first, interp = _observables(module, digest, "opt")
-        assert any(interp._tiering.handlers.values())
-
-    def test_prune_evicts_only_stale_builds(self, isolated_cache):
-        build = interpreter_build_digest()[:8]
-        stale = [
-            isolated_cache / "predecode-aaaaaaaaaaaaaaaa-00000000.json",
-            isolated_cache / "tier2-aaaaaaaaaaaaaaaa-00000000.json",
-        ]
-        fresh = [
-            isolated_cache / f"predecode-bbbbbbbbbbbbbbbb-{build}.json",
-            isolated_cache / f"tier2-bbbbbbbbbbbbbbbb-{build}.json",
-        ]
-        profile = isolated_cache / "gemm-mini-cccccccccccccccc.json"
-        for path in stale + fresh + [profile]:
-            path.write_text("{}")
-        removed = prune_stale_artifacts(isolated_cache)
-        assert sorted(removed) == sorted(p.name for p in stale)
-        for path in stale:
-            assert not path.exists()
-        for path in fresh + [profile]:
-            assert path.exists()
-
-    def test_plan_write_prunes_stale_entries(self, isolated_cache):
-        stale = isolated_cache / "predecode-aaaaaaaaaaaaaaaa-00000000.json"
-        stale.write_text("{}")
-        module, digest = module_for("trisolv", "mini")
-        Interpreter(module, module_digest=digest)
-        assert not stale.exists()
-
-
 class TestStrictness:
     def test_strict_surfaces_tier2_bugs(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
@@ -267,8 +204,8 @@ class TestStrictness:
             raise RuntimeError("injected tier-2 install failure")
 
         monkeypatch.setattr(vectorize, "install", boom)
-        module, digest = module_for("trisolv", "mini")
-        interp = Interpreter(module, module_digest=digest, tier="opt")
+        module, _ = module_for("trisolv", "mini")
+        interp = Interpreter(module, tier="opt")
         with pytest.raises(RuntimeError, match="injected"):
             interp.invoke("bench")
 
@@ -280,8 +217,8 @@ class TestStrictness:
             raise RuntimeError("injected tier-2 install failure")
 
         monkeypatch.setattr(vectorize, "install", boom)
-        module, digest = module_for("trisolv", "mini")
-        reference, _ = _observables(module, digest, "fused")
-        observed, interp = _observables(module, digest, "opt")
+        module, _ = module_for("trisolv", "mini")
+        reference, _ = _observables(module, "fused")
+        observed, interp = _observables(module, "opt")
         assert not any(interp._tiering.handlers.values())
         assert observed == reference
