@@ -85,16 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="base seed for the fuzz phase (default: 0)",
     )
     parser.add_argument(
-        "--no-fuse", action="store_true",
-        help="run interpreters without superinstruction fusion "
-        "(bisection aid: a divergence that disappears here is a "
-        "fused-codegen bug)",
-    )
-    parser.add_argument(
         "--tier", default=None, choices=["legacy", "fused", "opt"],
         help="pin the interpreter execution tier for every phase "
         "(bisection aid: a divergence that appears only at --tier opt "
-        "is a tier-2 vectorizer bug)",
+        "is a tier-2 vectorizer bug; one at --tier fused that "
+        "disappears at --tier legacy is a tier-1 fast-path bug)",
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH",
@@ -151,13 +146,12 @@ def main(argv=None) -> int:
     from repro.diffcheck.invariants import check_invariants
     from repro.diffcheck.reference import check_reference
     from repro.diffcheck.report import DiffReport
+    from repro.runtime import tiering
     from repro.runtime.predecode import interpreter_build_digest
     from repro.runtime.strategies import STRATEGY_ORDER
 
-    if args.no_fuse:
-        # Via the environment so ProcessPool workers inherit it too.
-        os.environ["REPRO_DISPATCH"] = "nofuse"
     if args.tier:
+        # Via the environment so ProcessPool workers inherit it too.
         os.environ["REPRO_TIER"] = args.tier
 
     phases = [p.strip() for p in args.phases.split(",") if p.strip()]
@@ -217,11 +211,10 @@ def main(argv=None) -> int:
 
     if args.json:
         # Header first so a report is attributable to the exact
-        # interpreter/pre-decode build (and dispatch mode) that ran it.
+        # interpreter/pre-decode build (and tier) that ran it.
         payload = {
             "interpreter_build": interpreter_build_digest(),
-            "dispatch": os.environ.get("REPRO_DISPATCH", "fused"),
-            "tier": os.environ.get("REPRO_TIER", "opt"),
+            "tier": os.environ.get("REPRO_TIER") or tiering.DEFAULT_TIER,
             **report.to_json(),
         }
         with open(args.json, "w") as handle:

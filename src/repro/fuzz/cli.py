@@ -82,6 +82,7 @@ def main(argv=None) -> int:
     from repro.core.engine import resolve_jobs
     from repro.diffcheck.report import DiffReport
     from repro.fuzz.campaign import CampaignConfig, run_campaign
+    from repro.runtime import tiering
     from repro.runtime.predecode import interpreter_build_digest
 
     config = CampaignConfig(
@@ -124,8 +125,7 @@ def main(argv=None) -> int:
     if args.json:
         payload = {
             "interpreter_build": interpreter_build_digest(),
-            "dispatch": os.environ.get("REPRO_DISPATCH", "fused"),
-            "tier": os.environ.get("REPRO_TIER", "opt"),
+            "tier": os.environ.get("REPRO_TIER") or tiering.DEFAULT_TIER,
             **result,
         }
         with open(args.json, "w") as handle:

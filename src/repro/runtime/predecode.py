@@ -239,11 +239,11 @@ def find_regions(
     return regions
 
 
-def plan_function(body: Sequence[Instr], fuse: bool = True) -> FunctionPlan:
+def plan_function(body: Sequence[Instr]) -> FunctionPlan:
     """Pre-decode one function body."""
     matches = match_control(body)
     targets = jump_targets(body, matches)
-    regions = find_regions(body, targets) if fuse else []
+    regions = find_regions(body, targets)
     return FunctionPlan(matches=matches, targets=targets, regions=regions)
 
 
@@ -268,12 +268,12 @@ def interpreter_build_digest() -> str:
     return digest.hexdigest()
 
 
-def plans_for_module(module, fuse: bool = True) -> Dict[int, FunctionPlan]:
+def plans_for_module(module) -> Dict[int, FunctionPlan]:
     """Pre-decode every defined function body of ``module``.
 
     Keys are positions in ``module.funcs`` (defined-function space).
     """
     return {
-        index: plan_function(func.body, fuse=fuse)
+        index: plan_function(func.body)
         for index, func in enumerate(module.funcs)
     }

@@ -1,10 +1,13 @@
 """Execution tiers and per-function tier-up for the interpreter.
 
-The interpreter exposes three tiers (``REPRO_TIER`` / the ``tier``
-constructor parameter):
+``tier`` (the constructor parameter, else ``REPRO_TIER``, else
+:data:`DEFAULT_TIER`) is the interpreter's only mode selector:
 
-* ``legacy`` — the original per-op closure dispatch;
-* ``fused``  — pre-decoded superinstruction dispatch (PR 4);
+* ``legacy`` — the original one-closure-per-op dispatch, kept as the
+  interpreter benchmark's baseline and the reference tier the
+  cross-tier oracles compare against;
+* ``fused``  — pre-decoded superinstruction dispatch with struct-based
+  fast memory closures;
 * ``opt``    — fused dispatch plus the tier-2 whole-function compiler
   (:mod:`repro.runtime.vectorize`) for functions that get hot.
 
@@ -17,11 +20,12 @@ interpreter on first tier-up and kept in memory only: the profile
 cache stores what a profiling run produces, so a cached profile never
 needs them.
 
-Tier-2 execution is bit-identical to the other tiers by construction
-(see :mod:`repro.runtime.vectorize`); ``REPRO_TIER_STRICT=1`` (set in
-CI) turns any *unexpected* tier-2 compile/install failure into a hard
-error instead of a silent fall-back to tier 1, mirroring what
-``REPRO_FUSE_STRICT`` does for superinstruction fusion.
+Every tier is bit-identical to the others by construction (see
+:mod:`repro.runtime.vectorize`).  Both fast tiers fall back silently
+to a slower but equally correct path when their code generation
+fails: a superinstruction to per-op closures, a tier-2 function to
+tier 1.  ``REPRO_TIER_STRICT=1`` (set in CI) turns any such
+*unexpected* failure into a hard error instead.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from repro.runtime import vectorize
 #: Recognised execution tiers, slowest first.
 TIERS = ("legacy", "fused", "opt")
 
-#: Tier used when neither ``tier`` nor ``dispatch`` is requested
-#: explicitly (parameter or environment).
+#: Tier used when neither ``tier=`` nor ``$REPRO_TIER`` names one.
 DEFAULT_TIER = "opt"
 
 
@@ -45,11 +48,6 @@ def tier_threshold() -> int:
         return int(os.environ.get("REPRO_TIER_THRESHOLD", "64"))
     except ValueError:
         return 64
-
-
-def dispatch_for_tier(tier: str) -> str:
-    """The dispatch mode a tier runs on."""
-    return "legacy" if tier == "legacy" else "fused"
 
 
 def artifacts_for_module(module, plans) -> Dict[int, dict]:

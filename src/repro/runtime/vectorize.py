@@ -45,7 +45,6 @@ the scalar compiled loop is kept instead.
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -71,6 +70,8 @@ M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
 I31 = 1 << 31  # exclusive bound for "plain arithmetic is exact"
 PAGE = 4096
+#: NumPy engages for loops of at least this many iterations.
+VEC_MIN = 16
 
 
 class Bailout(Exception):
@@ -1221,14 +1222,6 @@ def compile_function(
         }
 
 
-def vec_min() -> int:
-    """NumPy engages for loops of at least this many iterations."""
-    try:
-        return int(os.environ.get("REPRO_TIER_VECMIN", "16"))
-    except ValueError:
-        return 16
-
-
 def install(artifact: dict, memory):
     """Bind an eligible artifact against one instance's memory.
 
@@ -1250,7 +1243,7 @@ def install(artifact: dict, memory):
         elif kind == "np":
             binds[name] = _np
         elif kind == "vecmin":
-            binds[name] = vec_min()
+            binds[name] = VEC_MIN
         elif kind == "const":
             binds[name] = float(arg)
         elif kind == "pcs":

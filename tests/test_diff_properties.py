@@ -13,12 +13,14 @@ import math
 import os
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.diffcheck import fuzz
-from repro.runtime.interpreter import DISPATCH_MODES, Interpreter, to_f32
+from repro.runtime.interpreter import Interpreter, to_f32
+from repro.runtime.tiering import TIERS
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import DecodeError, Trap
@@ -163,17 +165,17 @@ class TestFusionEquivalence:
     """Superinstruction fusion is unobservable except in speed.
 
     For DSL-generated programs (the diffcheck fuzzer's generator, so
-    shrinking happens on the seed), the fused, nofuse and legacy
-    dispatch modes must produce bit-identical return values, memory
-    load/store counts and touched-page sets.  REPRO_FUSE_STRICT turns
-    any silent codegen fallback into a hard failure, so a property
-    violation here cannot hide behind the unfused path.
+    shrinking happens on the seed), the legacy, fused and opt tiers
+    must produce bit-identical return values, memory load/store counts
+    and touched-page sets.  REPRO_TIER_STRICT turns any silent codegen
+    fallback into a hard failure, so a property violation here cannot
+    hide behind the unfused path.
     """
 
     @staticmethod
-    def _observe(module, arg, dispatch):
+    def _observe(module, arg, tier):
         interp = Interpreter(
-            module, dispatch=dispatch, validate=False,
+            module, tier=tier, validate=False,
             collect_profile=False, track_pages=True,
         )
         try:
@@ -191,18 +193,11 @@ class TestFusionEquivalence:
     def test_dispatch_modes_agree(self, seed, arg):
         module = fuzz.build_program(random.Random(seed))
         validate_module(module)
-        previous = os.environ.get("REPRO_FUSE_STRICT")
-        os.environ["REPRO_FUSE_STRICT"] = "1"
-        try:
+        with mock.patch.dict(os.environ, {"REPRO_TIER_STRICT": "1"}):
             reference = self._observe(module, arg, "fused")
-            for mode in DISPATCH_MODES:
-                if mode != "fused":
-                    assert self._observe(module, arg, mode) == reference
-        finally:
-            if previous is None:
-                del os.environ["REPRO_FUSE_STRICT"]
-            else:
-                os.environ["REPRO_FUSE_STRICT"] = previous
+            for tier in TIERS:
+                if tier != "fused":
+                    assert self._observe(module, arg, tier) == reference
 
     @given(st.integers(0, 10**9), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -210,9 +205,9 @@ class TestFusionEquivalence:
         """Reconstructed per-pc counts match an actually-unfused run."""
         module = fuzz.build_program(random.Random(seed))
         profiles = {}
-        for mode in ("fused", "nofuse"):
+        for tier in ("fused", "legacy"):
             interp = Interpreter(
-                module, dispatch=mode, validate=False,
+                module, tier=tier, validate=False,
                 collect_profile=True, track_pages=True,
             )
             try:
@@ -220,7 +215,7 @@ class TestFusionEquivalence:
             except Trap:
                 pass
             profile = interp.take_profile("fuzz", "prop")
-            profiles[mode] = (
+            profiles[tier] = (
                 dict(profile.instr_counts),
                 dict(profile.op_totals),
                 profile.total_instrs,
@@ -228,7 +223,7 @@ class TestFusionEquivalence:
                 profile.mem_stores,
                 profile.pages_touched,
             )
-        assert profiles["fused"] == profiles["nofuse"]
+        assert profiles["fused"] == profiles["legacy"]
 
 
 class TestMutatorRobustness:

@@ -1,9 +1,10 @@
 """Tests for the optimizing tier (tiering.py + vectorize.py).
 
-Covers the tier-up heuristic, tier/dispatch resolution, bit-identical
+Covers the tier-up heuristic, tier resolution, bit-identical
 observables between the ``opt`` tier and the fused reference (outputs,
 memory counters, touched pages, reconstructed per-pc profiles), the
-entry-guard deopt path, and ``REPRO_TIER_STRICT``.
+entry-guard deopt path, and ``REPRO_TIER_STRICT`` over both fast-path
+code generators (tier-2 install and superinstruction fusion).
 """
 
 import struct
@@ -57,27 +58,24 @@ class TestTierResolution:
         module, _ = module_for("trisolv", "mini")
         interp = Interpreter(module)
         assert interp.tier == "opt"
-        assert interp.dispatch == "fused"
+        assert interp._plans  # fused dispatch underneath
         assert interp._tiering is not None
-
-    def test_explicit_dispatch_disables_tier2(self):
-        # Dispatch-mode comparisons must keep measuring dispatch alone.
-        module, _ = module_for("trisolv", "mini")
-        for dispatch in ("legacy", "nofuse", "fused"):
-            interp = Interpreter(module, dispatch=dispatch)
-            assert interp._tiering is None
 
     def test_tier_param_picks_dispatch(self):
         module, _ = module_for("trisolv", "mini")
-        assert Interpreter(module, tier="legacy").dispatch == "legacy"
-        assert Interpreter(module, tier="fused").dispatch == "fused"
-        assert Interpreter(module, tier="fused")._tiering is None
+        legacy = Interpreter(module, tier="legacy")
+        assert legacy.tier == "legacy"
+        assert not legacy._plans and legacy._tiering is None
+        fused = Interpreter(module, tier="fused")
+        assert fused.tier == "fused"
+        assert fused._plans and fused._tiering is None
         assert Interpreter(module, tier="opt")._tiering is not None
 
     def test_tier_env_var(self, monkeypatch):
         module, _ = module_for("trisolv", "mini")
         monkeypatch.setenv("REPRO_TIER", "legacy")
-        assert Interpreter(module).dispatch == "legacy"
+        assert Interpreter(module).tier == "legacy"
+        assert Interpreter(module, tier="fused").tier == "fused"
         monkeypatch.setenv("REPRO_TIER", "opt")
         assert Interpreter(module)._tiering is not None
 
@@ -129,7 +127,7 @@ class TestBitIdentity:
             assert observed[key] == value, f"{workload}: {key} differs"
 
     def test_opt_matches_fused_small_numpy_path(self, monkeypatch):
-        # small trip counts exceed REPRO_TIER_VECMIN, so the NumPy
+        # small trip counts exceed vectorize.VEC_MIN, so the NumPy
         # batched path (not just the scalar codegen) is exercised.
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
@@ -196,29 +194,42 @@ class TestDeopt:
 
 
 class TestStrictness:
-    def test_strict_surfaces_tier2_bugs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
-        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
+    """Each fast tier's codegen failure: strict raises, non-strict
+    falls back to a path that matches ``legacy``."""
 
+    @pytest.fixture
+    def broken_install(self, monkeypatch):
         def boom(artifact, memory):
             raise RuntimeError("injected tier-2 install failure")
 
         monkeypatch.setattr(vectorize, "install", boom)
+        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
+
+    def test_strict_surfaces_tier2_bugs(self, monkeypatch, broken_install):
+        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         module, _ = module_for("trisolv", "mini")
         interp = Interpreter(module, tier="opt")
         with pytest.raises(RuntimeError, match="injected"):
             interp.invoke("bench")
 
-    def test_non_strict_falls_back_to_tier1(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
-        monkeypatch.delenv("REPRO_TIER_STRICT", raising=False)
-
-        def boom(artifact, memory):
-            raise RuntimeError("injected tier-2 install failure")
-
-        monkeypatch.setattr(vectorize, "install", boom)
+    def test_strict_surfaces_fusion_bugs(self, monkeypatch, unfusable):
+        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         module, _ = module_for("trisolv", "mini")
-        reference, _ = _observables(module, "fused")
+        interp = Interpreter(module, tier="fused")
+        with pytest.raises(RuntimeError, match="fall-back"):
+            interp.invoke("bench")
+
+    def test_non_strict_falls_back_to_tier1(self, monkeypatch, broken_install):
+        monkeypatch.delenv("REPRO_TIER_STRICT", raising=False)
+        module, _ = module_for("trisolv", "mini")
+        reference, _ = _observables(module, "legacy")
         observed, interp = _observables(module, "opt")
         assert not any(interp._tiering.handlers.values())
+        assert observed == reference
+
+    def test_non_strict_falls_back_to_per_op(self, unfusable):
+        module, _ = module_for("trisolv", "mini")
+        reference, _ = _observables(module, "legacy")
+        observed, interp = _observables(module, "fused")
+        assert not interp._fused_regions
         assert observed == reference
