@@ -7,8 +7,10 @@ reports how the headline numbers move — evidence that the mechanisms
 * addressing-mode fusion — turning it off should hurt every compiled
   configuration and *shrink* the relative cost of inline checks
   (because checks inhibit fusion, §isel);
-* check elimination — LLVM-class CSE of redundant bounds checks is a
-  big part of why WAVM tolerates ``trap`` better than Cranelift;
+* check elimination — removing redundant bounds checks (the global
+  ``bce``/``bceloop`` passes plus the local ``checkelim`` CSE, which
+  ``bce`` leaves nothing to do) is a big part of why WAVM tolerates
+  ``trap`` better than Cranelift;
 * loop-invariant code motion — the pass with the largest single
   effect on PolyBench-style address arithmetic;
 * THP granularity — without huge-page zap batching, the mprotect
@@ -65,11 +67,15 @@ class TestFusionAblation:
         assert trap_without / trap_with < none_without / none_with
 
 
+#: Every pass that removes bounds checks (``bceloop`` requires ``bce``).
+CHECK_ELIM_PASSES = {"bce", "bceloop", "checkelim"}
+
+
 class TestCheckElimAblation:
     def test_checkelim_reduces_trap_cost(self, benchmark, gemm):
         def measure():
             with_elim = cost(gemm, ALL_PASSES, True, "trap")
-            without = cost(gemm, ALL_PASSES - {"checkelim"}, True, "trap")
+            without = cost(gemm, ALL_PASSES - CHECK_ELIM_PASSES, True, "trap")
             return without / with_elim
 
         ratio = benchmark.pedantic(measure, rounds=1, iterations=1)

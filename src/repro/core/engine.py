@@ -12,12 +12,14 @@ under :func:`repro.api.run`/:func:`repro.api.measure`:
   scheduling order.
 * **measurement cache** — each finished :class:`RunMeasurement` is
   stored on disk under a content-addressed key:
-  SHA-256 over (module digest, runtime, strategy, isa, threads, size,
-  iterations, warmup, calibration-constants hash).  Any change to a
-  workload's encoded Wasm or to the calibration tables changes the key
-  and silently invalidates the entry; corrupt files fall back to
-  recompute.  The cache lives beside the profile cache
-  (``.cache/measurements/`` next to ``.cache/profiles/``).
+  SHA-256 over (module digest, interpreter and simulator build
+  digests, runtime, strategy, isa, threads, size, iterations, warmup,
+  calibration-constants hash).  Any change to a workload's encoded
+  Wasm, to the code that profiles or simulates it, or to the
+  calibration tables changes the key and silently invalidates the
+  entry; corrupt files fall back to recompute.  The cache lives beside
+  the profile cache (``.cache/measurements/`` next to
+  ``.cache/profiles/``).
 * **warm workers** — workers recompute their own profile/compile/
   costing caches from the shared on-disk profile cache instead of
   shipping modules over pickle, so the pool never serialises on the
@@ -40,6 +42,7 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -53,6 +56,33 @@ from repro.trace.tracer import TRACE
 
 #: Bump when the cache entry format (not the measured values) changes.
 _CACHE_VERSION = 3  # v3: syscall_seconds/syscall_stats on each measurement
+
+#: Simulator sources every measurement runs through, relative to the
+#: ``repro`` package: compiler passes and costing, the discrete-event
+#: engine, CPU and kernel models, and the harness that drives them.
+_SIMULATOR_SOURCES = (
+    "sim", "cpu", "oskernel", "compiler",
+    "core/harness.py", "core/lifecycle.py", "runtimes/base.py",
+)
+
+
+@lru_cache(maxsize=1)
+def simulator_build_digest() -> str:
+    """SHA-256 over the simulator build sources.
+
+    The simulator-side counterpart of
+    :func:`~repro.runtime.predecode.interpreter_build_digest`: a change
+    to any file under :data:`_SIMULATOR_SOURCES` changes every
+    measurement-cache key.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for name in _SIMULATOR_SOURCES:
+        path = root / name
+        for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            digest.update(source.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(source.read_bytes())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -390,6 +420,8 @@ class MeasurementEngine:
             # Measurements derive from interpreter-produced profiles, so
             # the key pins the exact interpreter build that profiled.
             "interp": interpreter_build_digest()[:16],
+            # ... and the compiler, kernel and simulator that cost it.
+            "sim": simulator_build_digest()[:16],
             "runtime": request.runtime,
             "strategy": request.strategy,
             "isa": request.isa,

@@ -377,7 +377,7 @@ class InstanceLifecycle:
     # ------------------------------------------------------------------
     def _compute_with_faults(self, area) -> Generator:
         plan = self.plan
-        pages = plan.touched_pages - len(area.populated)
+        pages = plan.touched_pages - area.populated_pages
         if pages <= 0:  # nothing to fault (defensive; resets zap)
             yield from self._run_compute(plan.compute_seconds)
             return
@@ -390,7 +390,7 @@ class InstanceLifecycle:
         fault_span = plan.compute_seconds * FAULT_PHASE_FRACTION
         chunk = fault_span / batches if batches else 0.0
         uffd = (not plan.native) and plan.strategy.fault_mechanism == "uffd"
-        offset = len(area.populated) * PAGE_SIZE
+        offset = area.populated_pages * PAGE_SIZE
         for index in range(batches):
             count = min(batch_pages, pages - index * batch_pages)
             length = count * PAGE_SIZE

@@ -5,7 +5,9 @@ reproduction, typically the 8 GiB guard region backing one WebAssembly
 linear memory.  It combines:
 
 * a :class:`~repro.oskernel.vma.ProtectionMap` (the VMA structure), and
-* the set of *populated* pages (pages with an installed PTE).
+* its *populated* pages (pages with an installed PTE), held as sorted,
+  disjoint, non-adjacent half-open page runs with a running page count,
+  so populating or zapping a range costs O(runs touched), not O(pages).
 
 The distinction is the crux of the paper's kernel-side story: changing
 protections is a VMA operation under the exclusive ``mmap_lock``;
@@ -15,6 +17,7 @@ populated pages requires both PTE zapping and a TLB shootdown.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -36,8 +39,12 @@ class Area:
     name: str = ""
     uffd_registered: bool = False
     prot_map: ProtectionMap = field(init=False)
-    #: Indices (relative to the area) of populated pages.
-    populated: set = field(default_factory=set)
+    #: Populated pages (indices relative to the area) as the half-open
+    #: runs ``[_starts[k], _ends[k])``: sorted, disjoint and
+    #: non-adjacent (``_ends[k] < _starts[k + 1]``).
+    _starts: list = field(init=False, default_factory=list)
+    _ends: list = field(init=False, default_factory=list)
+    populated_pages: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.prot_map = ProtectionMap(self.length, Prot.NONE)
@@ -48,7 +55,7 @@ class Area:
 
     @property
     def populated_bytes(self) -> int:
-        return len(self.populated) * PAGE_SIZE
+        return self.populated_pages * PAGE_SIZE
 
     def page_range(self, offset: int, length: int) -> range:
         if not 0 <= offset <= offset + length <= self.length:
@@ -61,26 +68,62 @@ class Area:
 
     def populate(self, offset: int, length: int) -> int:
         """Mark pages populated; returns how many were newly installed."""
-        added = 0
-        for page in self.page_range(offset, length):
-            if page not in self.populated:
-                self.populated.add(page)
-                added += 1
+        pages = self.page_range(offset, length)
+        first, last = pages.start, pages.stop
+        if first >= last:
+            return 0
+        starts, ends = self._starts, self._ends
+        # Runs [lo, hi) overlap or abut the range; they merge into one.
+        lo = bisect_left(ends, first)
+        hi = bisect_right(starts, last)
+        present = self._covered(lo, hi, first, last)
+        if lo < hi:
+            first = min(first, starts[lo])
+            last = max(last, ends[hi - 1])
+        starts[lo:hi] = [first]
+        ends[lo:hi] = [last]
+        added = len(pages) - present
+        self.populated_pages += added
         return added
 
     def zap(self, offset: int, length: int) -> int:
         """Unpopulate pages in the range; returns how many were zapped."""
-        zapped = 0
-        for page in self.page_range(offset, length):
-            if page in self.populated:
-                self.populated.discard(page)
-                zapped += 1
+        pages = self.page_range(offset, length)
+        first, last = pages.start, pages.stop
+        if first >= last:
+            return 0
+        starts, ends = self._starts, self._ends
+        # Runs [lo, hi) overlap the range; their parts outside it survive.
+        lo = bisect_right(ends, first)
+        hi = bisect_left(starts, last)
+        if lo >= hi:
+            return 0
+        zapped = self._covered(lo, hi, first, last)
+        kept_starts, kept_ends = [], []
+        if starts[lo] < first:
+            kept_starts.append(starts[lo])
+            kept_ends.append(first)
+        if ends[hi - 1] > last:
+            kept_starts.append(last)
+            kept_ends.append(ends[hi - 1])
+        starts[lo:hi] = kept_starts
+        ends[lo:hi] = kept_ends
+        self.populated_pages -= zapped
         return zapped
 
     def zap_all(self) -> int:
-        zapped = len(self.populated)
-        self.populated.clear()
+        zapped = self.populated_pages
+        self._starts.clear()
+        self._ends.clear()
+        self.populated_pages = 0
         return zapped
+
+    def _covered(self, lo: int, hi: int, first: int, last: int) -> int:
+        """Pages of ``[first, last)`` that runs ``lo`` to ``hi - 1`` hold."""
+        starts, ends = self._starts, self._ends
+        return sum(
+            min(ends[k], last) - max(starts[k], first) for k in range(lo, hi)
+        )
 
 
 class AddressSpace:

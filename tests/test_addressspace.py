@@ -1,6 +1,7 @@
 """Tests for address spaces and reservation areas."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.oskernel.addressspace import AddressSpace, Area, pages_in
 from repro.oskernel.layout import PAGE_SIZE
@@ -54,6 +55,57 @@ class TestArea:
             area.populate(0, 5 * PAGE_SIZE)
         with pytest.raises(VmaError):
             area.zap(4 * PAGE_SIZE, PAGE_SIZE)
+
+
+AREA_PAGES = 24
+
+#: One operation on an area: populate, zap or zap_all, with byte
+#: offsets and lengths that may be unaligned, zero or out of range.
+area_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["populate", "zap", "zap_all"]),
+        st.integers(min_value=0, max_value=(AREA_PAGES + 1) * PAGE_SIZE),
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=0, max_value=3).map(lambda n: n * PAGE_SIZE),
+            st.integers(min_value=0, max_value=(AREA_PAGES + 1) * PAGE_SIZE),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestPageRuns:
+    """The page-run structure against a plain per-page set."""
+
+    @given(area_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_reference(self, ops):
+        area = Area(start=0, length=AREA_PAGES * PAGE_SIZE, name="runs")
+        ref = set()
+        for op, offset, length in ops:
+            if op == "zap_all":
+                assert area.zap_all() == len(ref)
+                ref.clear()
+            elif offset + length > area.length:
+                with pytest.raises(VmaError):
+                    getattr(area, op)(offset, length)
+            else:
+                pages = set(range(offset // PAGE_SIZE, pages_in(offset + length)))
+                if op == "populate":
+                    assert area.populate(offset, length) == len(pages - ref)
+                    ref |= pages
+                else:
+                    assert area.zap(offset, length) == len(pages & ref)
+                    ref -= pages
+            assert area.populated_pages == len(ref)
+            assert area.populated_bytes == len(ref) * PAGE_SIZE
+            runs = list(zip(area._starts, area._ends))
+            assert all(start < end for start, end in runs)
+            assert all(
+                runs[k][1] < runs[k + 1][0] for k in range(len(runs) - 1)
+            )
+            assert {p for start, end in runs for p in range(start, end)} == ref
 
 
 class TestAddressSpace:

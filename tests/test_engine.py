@@ -100,6 +100,27 @@ class TestMeasurementCache:
         )
         assert eng.key_for(REQUEST) != before
 
+    def test_simulator_build_invalidates_key(self, isolated_caches, monkeypatch):
+        eng = MeasurementEngine(cache_dir=isolated_caches)
+        before = eng.key_for(REQUEST)
+        assert not eng.measure_one(REQUEST).cache_hit
+        assert eng.measure_one(REQUEST).cache_hit
+        monkeypatch.setattr(
+            engine_mod, "simulator_build_digest", lambda: "e" * 64
+        )
+        assert eng.key_for(REQUEST) != before
+        assert not eng.measure_one(REQUEST).cache_hit
+
+    def test_simulator_build_digest_hashes_every_source(self, monkeypatch):
+        build = engine_mod.simulator_build_digest
+        full = build.__wrapped__()
+        assert build() == full
+        sources = engine_mod._SIMULATOR_SOURCES
+        for name in sources:
+            rest = tuple(other for other in sources if other != name)
+            monkeypatch.setattr(engine_mod, "_SIMULATOR_SOURCES", rest)
+            assert build.__wrapped__() != full, name
+
     def test_calibration_hash_tracks_constants(self, monkeypatch):
         from repro.runtimes import runtime_named
 
