@@ -5,7 +5,15 @@ rows/series (on reduced workload sets so a full ``pytest benchmarks/
 --benchmark-only`` run finishes in minutes) and asserts the paper's
 qualitative claims about them.  ``test_substrates.py`` measures the
 throughput of the underlying systems themselves.
+
+The figures the suite regenerates are written to a temporary results
+directory, so a run leaves the committed ``results/`` untouched.  To
+regenerate the committed files, point ``REPRO_RESULTS_DIR`` at them::
+
+    REPRO_RESULTS_DIR=results PYTHONPATH=src python -m pytest benchmarks
 """
+
+import os
 
 import pytest
 
@@ -15,6 +23,21 @@ from repro.core.profiles import profile_for
 #: short-running kernels that drive the contention results.
 BENCH_PBC = ["gemm", "trisolv", "jacobi-2d"]
 BENCH_SPEC = ["519.lbm"]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def results_dir(tmp_path_factory):
+    """Send ``save_results`` to a temporary directory unless the caller
+    chose one with ``REPRO_RESULTS_DIR``."""
+    if "REPRO_RESULTS_DIR" in os.environ:
+        yield os.environ["REPRO_RESULTS_DIR"]
+        return
+    path = str(tmp_path_factory.mktemp("results"))
+    os.environ["REPRO_RESULTS_DIR"] = path
+    try:
+        yield path
+    finally:
+        del os.environ["REPRO_RESULTS_DIR"]
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -63,8 +63,9 @@ class Area:
                 f"range [{offset:#x},{offset + length:#x}) outside area {self.name!r}"
             )
         first = offset // PAGE_SIZE
-        last = pages_in(offset + length)
-        return range(first, last)
+        if length == 0:
+            return range(first, first)  # an empty range covers no page
+        return range(first, pages_in(offset + length))
 
     def populate(self, offset: int, length: int) -> int:
         """Mark pages populated; returns how many were newly installed."""

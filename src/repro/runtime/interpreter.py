@@ -1160,6 +1160,11 @@ _INLINE_BINOPS: Dict[str, str] = {
     "f64.sub": "({0} - {1})",
     "f64.mul": "({0} * {1})",
 }
+#: compare op -> bare boolean template ({0}=lhs, {1}=rhs); the value
+#: template in _INLINE_BINOPS is ``(1 if <bool> else 0)``.  Flipping the
+#: sign bit maps canonical u32 values onto the signed order, so
+#: ``(a ^ 2**31) < (b ^ 2**31)`` is exactly ``s32(a) < s32(b)``.
+_INLINE_CMPS: Dict[str, str] = {}
 for _ty, _cmps in (
     ("i32", (("eq", "=="), ("ne", "!="), ("lt_u", "<"), ("gt_u", ">"),
              ("le_u", "<="), ("ge_u", ">="))),
@@ -1171,7 +1176,13 @@ for _ty, _cmps in (
              ("le", "<="), ("ge", ">="))),
 ):
     for _cmp, _sym in _cmps:
-        _INLINE_BINOPS[f"{_ty}.{_cmp}"] = f"(1 if {{0}} {_sym} {{1}} else 0)"
+        _INLINE_CMPS[f"{_ty}.{_cmp}"] = f"{{0}} {_sym} {{1}}"
+for _cmp, _sym in (("lt_s", "<"), ("gt_s", ">"), ("le_s", "<="), ("ge_s", ">=")):
+    _INLINE_CMPS[f"i32.{_cmp}"] = (
+        f"({{0}} ^ 2147483648) {_sym} ({{1}} ^ 2147483648)"
+    )
+for _op, _bool in _INLINE_CMPS.items():
+    _INLINE_BINOPS[_op] = f"(1 if {_bool} else 0)"
 
 #: op -> expression template ({0}=operand); MUST mirror _UNOPS.
 _INLINE_UNOPS: Dict[str, str] = {

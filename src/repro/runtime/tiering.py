@@ -75,7 +75,7 @@ def artifacts_for_module(module, plans) -> Dict[int, dict]:
 _MISS = object()
 
 #: Env kinds that require a live linear memory at install time.
-_MEM_KINDS = frozenset(("data", "mem", "touched", "track"))
+_MEM_KINDS = frozenset(("data", "mem", "touched", "track", "ld", "st"))
 
 
 class TierState:

@@ -10,7 +10,7 @@ when NumPy is available, batches whole innermost loops through
 Observable equivalence is the hard constraint: outputs (floats by bit
 pattern), ``load_count``/``store_count``, touched-page sets and the
 per-pc execution profile must be bit-identical to the per-instruction
-tiers.  Three mechanisms make that possible:
+tiers, also when a run traps.  Four mechanisms make that possible:
 
 * **Interval + affine analysis.**  An expression gets a signed interval
   ``ival`` only when it provably stays in ``[0, 2**31)`` with no
@@ -23,19 +23,43 @@ tiers.  Three mechanisms make that possible:
   (base, stride, size) *streams* whose traffic and page footprint are
   accounted in bulk.
 
-* **Entry-only deoptimisation.**  Every access address has a static
-  upper bound, so a single ``len(data) < NEED`` guard at function entry
-  is the only runtime bounds check.  If it fails, the handler returns 0
-  having touched *nothing* (no locals, no memory, no counters) and the
-  tier-1 dispatch loop runs the whole call instead.
+* **Entry guard plus checked accesses.**  An access whose address has
+  an interval has a static upper bound, and one ``len(data) < NEED``
+  guard at function entry covers all of them.  If it fails, the handler
+  returns 0 having touched *nothing* (no locals, no memory, no
+  counters) and the tier-1 dispatch loop runs the whole call instead.
+  An access whose address has no interval is compiled inline as a
+  *checked access*: ``eff + size <= len(data)`` takes the fast path
+  (the same load/store counter and touched-page bookkeeping as the
+  interpreter's loaders), anything else calls the interpreter's own
+  ``_value_loader``/``_value_storer`` closure for that op, so
+  out-of-bounds behaviour (trap, clamp, zero-read) is the
+  interpreter's by construction.  A body with a checked access can
+  therefore trap midway; it runs inside ``try``/``finally`` so its
+  counters are flushed either way.
 
 * **Flow counters.**  Per-pc profile counts are reconstructed exactly
-  from a handful of counters — one per straight-line flow region — with
-  loop-body counters bulk-incremented by the trip count.  A loop's
-  header/condition pcs belong to both the entry and the iteration
-  counter (they execute ``entries + iterations`` times); the two
-  ``end`` pcs of the block/loop pair never execute at all in the
-  recognised loop shape and map to no counter.
+  from a handful of counters, one per straight-line flow group, each
+  incremented when its first pc is reached.  A group ends at every
+  checked access (the access is its last pc, as a trapping op is the
+  last pc of a tier-1 fused region) and after every loop or ``if``
+  that contains one, so a trap leaves exactly the counts tier 1 leaves.
+  Loop-body counters of counted loops that cannot trap are
+  bulk-incremented by the trip count.  The two ``end`` pcs of a
+  recognised block/loop pair never execute and map to no counter.
+
+* **Two loop shapes**, both ``block { loop { <cond>; br_if 1; <body>;
+  br 0 } }`` as ``DslFunc`` emits them.  A *counted* ``for_`` (an
+  induction variable whose start and bound have intervals) becomes a
+  Python ``for`` over a ``range``, with streams and NumPy batching; its
+  condition pcs belong to both the entry and the iteration counter
+  (they execute ``entries + iterations`` times).  Anything else of that
+  shape — ``while_`` loops, and ``for_`` loops whose start or bound has
+  no interval — becomes ``while True:`` with one counter per condition
+  evaluation and one for the body; every local assigned in such a loop
+  loses its interval and affine form inside and after it.  A counted
+  loop whose body can trap counts per iteration and accounts its
+  accesses one by one instead of as streams.
 
 Compilation failures raise :class:`Bailout` internally and surface as
 ``{"eligible": False}`` artifacts; the function then simply stays on
@@ -72,6 +96,10 @@ I31 = 1 << 31  # exclusive bound for "plain arithmetic is exact"
 PAGE = 4096
 #: NumPy engages for loops of at least this many iterations.
 VEC_MIN = 16
+#: Deepest block/loop/if nesting compiled.  Each loop pair becomes one
+#: Python loop block, and Python allows 20 nested blocks (``try`` and
+#: a NumPy fold loop take two).
+MAX_NESTING = 32
 
 
 class Bailout(Exception):
@@ -80,6 +108,14 @@ class Bailout(Exception):
 
 class VecBail(Exception):
     """One loop cannot use the NumPy path (scalar loop still emitted)."""
+
+
+class _Restart(Exception):
+    """A counted loop with streams can trap: recompile it without them."""
+
+    def __init__(self, pc: int) -> None:
+        super().__init__(pc)
+        self.pc = pc
 
 
 def _to_f32(x: float) -> float:
@@ -102,6 +138,7 @@ def _tables():
             I._FAST_STORE,
             I._BINOPS,
             I._UNOPS,
+            I._INLINE_CMPS,
         )
     return _TABLES
 
@@ -114,6 +151,9 @@ _SIGNED_CMP32 = {
     "i32.le_s": "<=",
     "i32.ge_s": ">=",
 }
+
+#: Wrapping i32 ops that commute with reduction mod 2**32.
+_RING32 = {"i32.add": "+", "i32.sub": "-", "i32.mul": "*", "i32.shl": "<<"}
 
 #: Unsigned sub-width loads with statically known result ranges.
 _LOAD_IVAL = {
@@ -131,23 +171,37 @@ class Val:
     when provably inside ``[0, 2**31)`` with no wrap) licenses plain
     arithmetic; ``aff`` is an affine form ``{None: const, local: coeff}``
     over currently-stable locals; ``locs`` are the local slots the
-    ``py`` text reads (for flush-on-assignment).
+    ``py`` text reads (for flush-on-assignment).  ``truth``, set only on
+    0/1 values (compares and their boolean combinations), is a Python
+    boolean expression that is true exactly when the value is 1.
+    ``raw``, set only on wrapped i32 ring arithmetic, is ``py`` before
+    its final ``& 0xFFFFFFFF``: congruent mod 2**32 but not reduced, so
+    an enclosing add/sub/mul/shl can skip masking its operands.
     """
 
-    __slots__ = ("py", "ty", "node", "ival", "aff", "locs")
+    __slots__ = ("py", "ty", "node", "ival", "aff", "locs", "truth", "raw")
 
-    def __init__(self, py, ty, node, ival=None, aff=None, locs=frozenset()):
+    def __init__(
+        self, py, ty, node, ival=None, aff=None, locs=frozenset(), truth=None,
+        raw=None,
+    ):
         self.py = py
         self.ty = ty
         self.node = node
         self.ival = ival
         self.aff = aff
         self.locs = locs
+        self.truth = truth
+        self.raw = raw
 
 
 class _Compiler:
-    def __init__(self, body, matches, local_types, n_params, n_results):
+    def __init__(
+        self, body, matches, local_types, n_params, n_results, no_streams
+    ):
         self.body = body
+        #: block pcs of counted loops that must not use streams.
+        self.no_streams = no_streams
         self.matches = matches
         self.local_types = list(local_types)
         self.n_params = n_params
@@ -161,6 +215,10 @@ class _Compiler:
         self.nm = 0
         self.nb = 0
         self.need = 0
+        #: checked accesses emitted so far (each one can trap).
+        self.nchecked = 0
+        #: access sizes whose ``z<size> = len(data) - size`` limit is used.
+        self.limits: set = set()
         self.uses_mem = False
         self.uses_np = False
         self.lver = [0] * len(self.local_types)
@@ -216,6 +274,27 @@ class _Compiler:
     def new_counter(self, pcs: Sequence[int] = ()) -> int:
         self.counter_pcs.append(list(pcs))
         return len(self.counter_pcs) - 1
+
+    def _count(self, ctr: Optional[int], *pcs: int) -> int:
+        """Add ``pcs`` to flow counter ``ctr``; None opens a new one here."""
+        if ctr is None:
+            ctr = self.new_counter()
+            self.emit(f"c{ctr} += 1")
+        self.counter_pcs[ctr].extend(pcs)
+        return ctr
+
+    def _assigned(self, start: int, end: int) -> set:
+        body = self.body
+        return {
+            body[pc].args[0]
+            for pc in range(start, end)
+            if body[pc].op in ("local.set", "local.tee")
+        }
+
+    @staticmethod
+    def _truth(val: Val) -> str:
+        """A Python expression that is truthy exactly when ``val`` != 0."""
+        return val.truth or val.py
 
     def _unstable(self, index: int) -> bool:
         return any(
@@ -286,7 +365,7 @@ class _Compiler:
 
     # -- operators -----------------------------------------------------
     def _binop(self, op: str) -> None:
-        inline_bin, _, _, _, binops, _ = _tables()
+        inline_bin, _, _, _, binops, _, inline_cmp = _tables()
         b = self.sym.pop()
         a = self.sym.pop()
         ty = op.split(".", 1)[0]
@@ -303,18 +382,16 @@ class _Compiler:
         iv = None
         aff = None
         py = None
+        truth = None
         if op in CMP_NAMES:
             iv = (0, 1)
             sym = _SIGNED_CMP32.get(op)
-            if sym is not None:
-                if a.ival is None or b.ival is None:
-                    py = None  # needs signed decode: table function below
-                else:
-                    py = f"(1 if {a.py} {sym} {b.py} else 0)"
-            if py is None:
-                template = inline_bin.get(op)
-                if template is not None:
-                    py = template.format(a.py, b.py)
+            if sym is not None and a.ival is not None and b.ival is not None:
+                truth = f"({a.py} {sym} {b.py})"
+            elif op in inline_cmp:
+                truth = f"({inline_cmp[op].format(a.py, b.py)})"
+            if truth is not None:
+                py = f"(1 if {truth} else 0)"
         elif ty == "i32" and a.ival is not None and b.ival is not None:
             al, ah = a.ival
             bl, bh = b.ival
@@ -348,6 +425,20 @@ class _Compiler:
             else:
                 py = aff = None
 
+        raw = None
+        if py is None and op in _RING32:
+            # Arithmetic mod 2**32 commutes with reduction, so only the
+            # outermost op of a chain masks.  Multiplying or shifting
+            # by a constant only, to keep the unreduced values small.
+            ra, rb = a.raw or a.py, b.raw or b.py
+            if op in ("i32.add", "i32.sub") or (
+                op == "i32.mul" and "const" in (a.node[0], b.node[0])
+            ):
+                raw = f"({ra} {_RING32[op]} {rb})"
+            elif op == "i32.shl" and b.node[0] == "const":
+                raw = f"({ra} << {b.node[1] & 31})"
+            if raw is not None:
+                py = f"({raw} & {M32})"
         if py is None:
             template = inline_bin.get(op)
             if template is not None:
@@ -366,8 +457,14 @@ class _Compiler:
                 py = f"{self.bind('bin', op, '_f')}({a.py}, {b.py})"
             else:
                 py = f"{self.bind('bin', op, '_f')}({a.py}, {b.py})"
+        if op in ("i32.and", "i32.or") and a.truth and b.truth:
+            # Both sides are 0/1 and pure, so short-circuiting is exact.
+            iv = (0, 1)
+            truth = f"({a.truth} {'and' if op == 'i32.and' else 'or'} {b.truth})"
         node = ("bin", op, a.node, b.node, iv)
-        self.sym.append(Val(py, rty, node, ival=iv, aff=aff, locs=locs))
+        self.sym.append(
+            Val(py, rty, node, ival=iv, aff=aff, locs=locs, truth=truth, raw=raw)
+        )
 
     @staticmethod
     def _aff_sum(x, y, sign):
@@ -393,7 +490,7 @@ class _Compiler:
         return None
 
     def _unop(self, op: str) -> None:
-        _, inline_un, _, _, _, unops = _tables()
+        _, inline_un, _, _, _, unops, _ = _tables()
         a = self.sym.pop()
         rty = op.split(".", 1)[0]
         if a.node[0] == "const":
@@ -405,9 +502,10 @@ class _Compiler:
             return
         if op in TRAPPING_UNOPS:
             raise Bailout(f"{op} may trap")
-        iv = None
+        iv = truth = None
         if op in ("i32.eqz", "i64.eqz"):
             iv = (0, 1)
+            truth = f"(not {a.truth})" if a.truth else f"({a.py} == 0)"
         template = inline_un.get(op)
         if template is not None:
             py = template.format(a.py)
@@ -416,12 +514,50 @@ class _Compiler:
         else:
             py = f"{self.bind('un', op, '_g')}({a.py})"
         node = ("un", op, a.node, iv)
-        self.sym.append(Val(py, rty, node, ival=iv, locs=a.locs))
+        self.sym.append(Val(py, rty, node, ival=iv, locs=a.locs, truth=truth))
 
     # -- memory --------------------------------------------------------
+    def _align(self, node) -> int:
+        """A power of two that divides the value of ``node`` (mod 2**32)."""
+        kind = node[0]
+        if kind == "const":
+            v = node[1]
+            if isinstance(v, int) and not isinstance(v, bool):
+                return v & -v if v else 1 << 32
+            return 1
+        if kind == "bin":
+            op, a, b = node[1], node[2], node[3]
+            if op in ("i32.add", "i32.sub"):
+                return min(self._align(a), self._align(b))
+            if op == "i32.mul":
+                return min(self._align(a) * self._align(b), 1 << 32)
+            if op == "i32.shl" and b[0] == "const":
+                return min(self._align(a) << (b[1] & 31), 1 << 32)
+            if op == "i32.and":
+                return max(self._align(a), self._align(b))
+        return 1
+
+    def _account(self, kind: str, t: str, size: int, align: int) -> None:
+        """One access's counter and touched-page bookkeeping."""
+        self.emit(f"n{'L' if kind == 'load' else 'S'} += 1")
+        if align >= size:  # cannot straddle a page boundary
+            self.emit(f"if track: T.add({t} >> 12)")
+        else:
+            self.emit(
+                f"if track: T.update(range({t} >> 12, "
+                f"(({t} + {size - 1}) >> 12) + 1))"
+            )
+
     def _access(self, ins, stream_ctx, kind):
-        """Common address handling; returns (eff_expr, fmt, mask, size, si)."""
-        _, _, fast_load, fast_store, _, _ = _tables()
+        """Common address handling.
+
+        Returns ``(eff, fmt, mask, size, si, check)``.  ``check`` is None
+        when the address is proven (bookkeeping already emitted, or
+        deferred to stream ``si``); otherwise the caller must emit a
+        checked access on ``eff`` (a name) and ``check`` is the
+        address's known alignment.
+        """
+        _, _, fast_load, fast_store, _, _, _ = _tables()
         op = ins.op
         offset = ins.args[1]
         if kind == "load":
@@ -430,68 +566,97 @@ class _Compiler:
             fmt, mask = fast_store[op]
         size = struct.calcsize(fmt)
         addr = self.sym.pop()
-        if addr.ival is None:
-            raise Bailout(f"{op}: unproven address bounds")
-        self.need = max(self.need, addr.ival[1] + offset + size)
         self._touch_mem()
         eff = addr.py if offset == 0 else f"({addr.py} + {offset})"
-        si = None
-        if stream_ctx is not None and addr.aff is not None:
-            aff = dict(addr.aff)
-            aff[None] = aff.get(None, 0) + offset
-            stride = aff.get(stream_ctx["var"], 0)
-            stream_ctx["streams"].append(
-                {
-                    "kind": kind,
-                    "op": op,
-                    "stride": stride,
-                    "size": size,
-                    "base": self._render_aff(aff),
-                    "node": (addr.node, offset),
-                    "name": None,
-                }
-            )
-            si = len(stream_ctx["streams"]) - 1
-        else:
-            if stream_ctx is not None:
-                stream_ctx["vec_ok"] = False
+        if addr.ival is not None:
+            self.need = max(self.need, addr.ival[1] + offset + size)
+            if stream_ctx is not None and addr.aff is not None:
+                aff = dict(addr.aff)
+                aff[None] = aff.get(None, 0) + offset
+                stream_ctx["streams"].append(
+                    {
+                        "kind": kind,
+                        "op": op,
+                        "stride": aff.get(stream_ctx["var"], 0),
+                        "size": size,
+                        "base": self._render_aff(aff),
+                        "node": (addr.node, offset),
+                        "name": None,
+                    }
+                )
+                si = len(stream_ctx["streams"]) - 1
+                return eff, fmt, mask, size, si, None
+        if stream_ctx is not None:
+            stream_ctx["vec_ok"] = False
+        if not eff.isidentifier():
             t = self._tmp()
             self.emit(f"{t} = {eff}")
             eff = t
-            self.emit(f"mem.{kind}_count += 1")
-            self.emit(
-                f"if track: T.update(range({t} >> 12, "
-                f"(({t} + {size - 1}) >> 12) + 1))"
-            )
-        return eff, fmt, mask, size, si
+        align = self._align(addr.node)
+        if offset:
+            align = min(align, offset & -offset)
+        if addr.ival is None:
+            return eff, fmt, mask, size, None, align
+        self._account(kind, eff, size, align)
+        return eff, fmt, mask, size, None, None
 
-    def _store(self, ins, stream_ctx) -> None:
+    def _checked(self, kind, t, size, align, fast, slow) -> None:
+        """Emit one bounds-checked access on address temp ``t``.
+
+        In bounds, the bookkeeping and then ``fast`` run; otherwise
+        ``slow``, a call of the interpreter's own loader/storer closure,
+        which counts, touches pages, clamps or traps as tier 1 does.
+        """
+        self.nchecked += 1
+        self.limits.add(size)
+        self.emit(f"if {t} <= z{size}:")
+        self.indent += 1
+        self._account(kind, t, size, align)
+        self.emit(fast)
+        self.indent -= 1
+        self.emit("else:")
+        self.indent += 1
+        self.emit(slow)
+        self.indent -= 1
+
+    def _store(self, ins, stream_ctx) -> bool:
+        """Compile one store; True when it is a checked access."""
         value = self.sym.pop()
-        eff, fmt, mask, size, si = self._access(ins, stream_ctx, "store")
+        eff, fmt, mask, size, si, check = self._access(ins, stream_ctx, "store")
         vpy = value.py if mask is None else f"({value.py} & {mask})"
         pk = self.bind("p", fmt, "_p")
-        self.emit(f"{pk}(data, {eff}, {vpy})")
-        if stream_ctx is not None:
-            if si is not None:
-                stream_ctx["stores"].append(
-                    {"si": si, "value": value, "op": ins.op}
-                )
-            # si None already cleared vec_ok in _access
+        write = f"{pk}(data, {eff}, {vpy})"
+        if check is not None:
+            storer = self.bind("st", ins.op, "_S")
+            self._checked(
+                "store", eff, size, check, write, f"{storer}({eff}, {value.py})"
+            )
+            return True
+        self.emit(write)
+        if stream_ctx is not None and si is not None:
+            stream_ctx["stores"].append({"si": si, "value": value, "op": ins.op})
+        # si None already cleared vec_ok in _access
+        return False
 
     # -- control -------------------------------------------------------
     def _walk(self, start, end, ctr, stream_ctx):
+        """Compile ``body[start:end]`` into the current lines.
+
+        ``ctr`` is the open flow counter, or None when the next pc must
+        open a new one; returns the flow counter open at ``end``.
+        """
         body = self.body
         pc = start
         while pc < end:
             ins = body[pc]
             op = ins.op
             if op == "block":
-                pc = self._loop(pc, ctr, stream_ctx)
+                pc, ctr = self._loop(pc, ctr, stream_ctx)
                 continue
             if op == "if":
-                pc = self._if(pc, ctr, stream_ctx)
+                pc, ctr = self._if(pc, ctr, stream_ctx)
                 continue
-            self.counter_pcs[ctr].append(pc)
+            ctr = self._count(ctr, pc)
             if op == "nop":
                 pass
             elif op == "local.get":
@@ -542,7 +707,7 @@ class _Compiler:
                     )
                 self.sym.append(
                     Val(
-                        f"({a.py} if {c.py} else {b.py})",
+                        f"({a.py} if {self._truth(c)} else {b.py})",
                         a.ty,
                         ("select", c.node, a.node, b.node, iv),
                         ival=iv,
@@ -550,9 +715,11 @@ class _Compiler:
                     )
                 )
             elif op in LOAD_NAMES:
-                self._do_load(ins, stream_ctx)
+                if self._do_load(ins, stream_ctx):
+                    ctr = None  # a checked access ends its flow group
             elif op in STORE_NAMES:
-                self._store(ins, stream_ctx)
+                if self._store(ins, stream_ctx):
+                    ctr = None
             elif op in BINOP_NAMES:
                 self._binop(op)
             elif op in UNOP_NAMES:
@@ -560,22 +727,29 @@ class _Compiler:
             else:
                 raise Bailout(f"unsupported op {op}")
             pc += 1
+        return ctr
 
-    def _do_load(self, ins, stream_ctx) -> None:
+    def _do_load(self, ins, stream_ctx) -> bool:
+        """Compile one load; True when it is a checked access."""
         op = ins.op
         offset = ins.args[1]
         addr_node = self.sym[-1].node  # captured before _access pops it
-        eff, fmt, mask, size, _si = self._access(ins, stream_ctx, "load")
+        eff, fmt, mask, size, _si, check = self._access(ins, stream_ctx, "load")
         un = self.bind("u", fmt, "_u")
         t = self._tmp()
-        if mask is None:
-            self.emit(f"{t} = {un}(data, {eff})[0]")
+        read = f"{t} = {un}(data, {eff})[0]"
+        if mask is not None:
+            read += f" & {mask}"
+        if check is None:
+            self.emit(read)
         else:
-            self.emit(f"{t} = {un}(data, {eff})[0] & {mask}")
+            loader = self.bind("ld", op, "_L")
+            self._checked("load", eff, size, check, read, f"{t} = {loader}({eff})")
         iv = _LOAD_IVAL.get(op)
         self.sym.append(
             Val(t, op.split(".", 1)[0], ("load", op, addr_node, offset, iv), ival=iv)
         )
+        return check is not None
 
     def _local_set(self, index: int) -> None:
         value = self.sym.pop()
@@ -648,6 +822,10 @@ class _Compiler:
         return self.sym.pop()
 
     def _loop(self, block_pc, ctr, parent_ctx):
+        """Compile one ``block { loop { ... } }`` pair at ``block_pc``.
+
+        Returns ``(next_pc, ctr)`` like :meth:`_walk`.
+        """
         body = self.body
         if parent_ctx is not None:
             parent_ctx["vec_ok"] = False
@@ -663,35 +841,55 @@ class _Compiler:
             raise Bailout("block with result type")
         loop_pc = block_pc + 1
         if loop_pc >= len(body) or body[loop_pc].op != "loop":
-            raise Bailout("bare block (not a counted loop)")
+            raise Bailout("bare block (not a loop)")
         if body[loop_pc].args[0] is not None:
             raise Bailout("loop with result type")
         loop_end, _ = self.matches[loop_pc]
         if loop_end != block_end - 1:
             raise Bailout("loop/block ends not adjacent")
 
+        # The exit test: the first br_if, reached by straight-line code.
         brif = None
         for pc in range(loop_pc + 1, loop_end):
-            if body[pc].op == "br_if":
+            op = body[pc].op
+            if op == "br_if":
                 brif = pc
                 break
+            if op in ("block", "loop", "if", "br", "br_table", "return"):
+                break
         if brif is None:
-            raise Bailout("loop without br_if exit")
+            raise Bailout("loop without a straight-line br_if exit")
         if body[brif].args[0] != 1:
             raise Bailout("loop exit depth != 1")
+        last = body[loop_end - 1]
+        if last.op != "br" or last.args[0] != 0:
+            raise Bailout("loop does not end with br 0")
+
+        ctr = self._count(ctr, block_pc)
+        n0 = self.nchecked
+        counted = self._counted(loop_pc, brif, loop_end)
+        if counted is None:
+            exit_pcs = self._while(loop_pc, brif, loop_end)
+        else:
+            exit_pcs = self._for(block_pc, loop_pc, brif, loop_end, counted)
+        if self.nchecked > n0:
+            ctr = None  # the loop can trap: later pcs need a new group
+        if exit_pcs:
+            ctr = self._count(ctr, *exit_pcs)
+        return block_end + 1, ctr
+
+    def _counted(self, loop_pc, brif, loop_end) -> Optional[dict]:
+        """The counted ``for_`` analysis, or None (compile as a while)."""
+        body = self.body
         if body[loop_pc + 1].op != "local.get":
-            raise Bailout("loop condition does not start with local.get")
+            return None
         v = body[loop_pc + 1].args[0]
         cmp_op = body[brif - 1].op
         if cmp_op not in ("i32.ge_s", "i32.le_s"):
-            raise Bailout(f"unsupported loop condition {cmp_op}")
-        stop = self._eval_pure(loop_pc + 2, brif - 1)
-        if stop.ival is None:
-            raise Bailout("loop bound interval unknown")
-
+            return None
         t0 = loop_end - 5
         if t0 <= brif:
-            raise Bailout("loop body too short for induction tail")
+            return None
         tail = body[t0:loop_end]
         if not (
             tail[0].op == "local.get"
@@ -700,58 +898,89 @@ class _Compiler:
             and tail[2].op == "i32.add"
             and tail[3].op == "local.set"
             and tail[3].args[0] == v
-            and tail[4].op == "br"
-            and tail[4].args[0] == 0
         ):
-            raise Bailout("unrecognised induction tail")
+            return None
         sc = tail[1].args[0] & M32
         step = sc - (1 << 32) if sc >= I31 else sc
-        if step == 0:
-            raise Bailout("zero loop step")
-        if (step > 0) != (cmp_op == "i32.ge_s"):
-            raise Bailout("loop step/condition direction mismatch")
+        if step == 0 or (step > 0) != (cmp_op == "i32.ge_s"):
+            return None
         start = self.lvals[v]
         if start.ival is None:
-            raise Bailout("loop start interval unknown")
-
-        assigned = set()
-        for pc in range(brif + 1, t0):
-            if body[pc].op in ("local.set", "local.tee"):
-                assigned.add(body[pc].args[0])
+            return None
+        assigned = self._assigned(brif + 1, t0)
         if v in assigned:
-            raise Bailout("loop variable assigned in body")
-        if v in stop.locs or (stop.locs & assigned):
-            raise Bailout("loop bound not invariant")
+            return None
+        depth = len(self.sym)
+        try:
+            stop = self._eval_pure(loop_pc + 2, brif - 1)
+        except Bailout:
+            del self.sym[depth:]
+            return None
+        if stop.ival is None or v in stop.locs or (stop.locs & assigned):
+            return None
 
         v0l, v0h = start.ival
         sl, sh = stop.ival
         if step > 0:
             if sh - 1 + step >= I31:
-                raise Bailout("loop range may wrap")
+                return None  # the range may wrap
             var_iv = (v0l, max(v0l, sh - 1))
             post_iv = (v0l, max(v0h, sh - 1 + step))
         else:
             if sl + 1 + step < 0:
-                raise Bailout("loop range may wrap")
+                return None
             var_iv = (min(v0h, sl + 1), v0h)
             post_iv = (min(v0l, sl + 1 + step), v0h)
+        return {
+            "var": v,
+            "stop": stop,
+            "step": step,
+            "t0": t0,
+            "assigned": assigned,
+            "var_iv": var_iv,
+            "post_iv": post_iv,
+        }
 
+    def _while(self, loop_pc, brif, loop_end) -> Tuple[int, ...]:
+        """``while True:`` with one counter per condition evaluation."""
+        br0 = loop_end - 1
+        assigned = self._assigned(loop_pc + 1, br0)
+        self._invalidate(assigned)
+        self.loop_stack.append({"var": None, "assigned": assigned})
+        self.emit("while True:")
+        self.indent += 1
+        ctr = self._walk(loop_pc + 1, brif, self._count(None, loop_pc), None)
+        if len(self.sym) != 1:
+            raise Bailout("loop condition leaves != 1 value")
+        cond = self.sym.pop()
+        self._count(ctr, brif)
+        self.emit(f"if {self._truth(cond)}: break")
+        self._count(self._walk(brif + 1, br0, None, None), br0)
+        if self.sym:
+            raise Bailout("loop body leaves values on stack")
+        self.indent -= 1
+        self.loop_stack.pop()
+        self._invalidate(assigned)
+        return ()
+
+    def _for(self, block_pc, loop_pc, brif, loop_end, plan) -> List[int]:
+        """A counted loop as a Python ``for``; returns its exit-test pcs."""
+        v, stop, step, t0 = plan["var"], plan["stop"], plan["step"], plan["t0"]
+        assigned = plan["assigned"]
         self._invalidate(assigned | {v})
         self.lvals[v] = Val(
             f"l{v}",
             "i32",
             ("local", v, self.lver[v]),
-            ival=var_iv,
+            ival=plan["var_iv"],
             aff={v: 1, None: 0},
             locs=frozenset((v,)),
         )
 
-        i_ctr = self.new_counter()
+        # The condition pcs run once per iteration (here) and once more
+        # for the exit test (the returned pcs, counted after the loop).
         cond_pcs = list(range(loop_pc, brif + 1))
-        self.counter_pcs[ctr].append(block_pc)
-        self.counter_pcs[ctr].extend(cond_pcs)
-        self.counter_pcs[i_ctr].extend(cond_pcs)
-        self.counter_pcs[i_ctr].extend(range(t0, loop_end))
+        i_ctr = self.new_counter(cond_pcs)
 
         mv = f"m{self.nm}"
         self.nm += 1
@@ -763,7 +992,6 @@ class _Compiler:
             self.emit(f"{mv} = (l{v} - {stop.py} + {-step - 1}) // {-step}")
         self.emit(f"if {mv} > 0:")
         self.indent += 1
-        self.emit(f"c{i_ctr} += {mv}")
 
         ctx = {
             "var": v,
@@ -777,12 +1005,24 @@ class _Compiler:
         self.loop_stack.append(ctx)
         outer_lines, outer_indent = self.lines, self.indent
         self.lines, self.indent = [], 0
-        self._walk(brif + 1, t0, i_ctr, ctx)
+        n0 = self.nchecked
+        stream_ctx = None if block_pc in self.no_streams else ctx
+        ctr = self._walk(brif + 1, t0, i_ctr, stream_ctx)
+        self._count(ctr, *range(t0, loop_end))
         if self.sym:
             raise Bailout("loop body leaves values on stack")
         body_lines = self.lines
         self.lines, self.indent = outer_lines, outer_indent
         self.loop_stack.pop()
+        if self.nchecked > n0:
+            # The body can trap: count iterations as they start, and
+            # account every access as it happens (streams are settled
+            # only after the loop).
+            if ctx["streams"]:
+                raise _Restart(block_pc)
+            body_lines.insert(0, f"c{i_ctr} += 1")
+        else:
+            self.emit(f"c{i_ctr} += {mv}")
 
         for st in ctx["streams"]:
             st["name"] = f"b{self.nb}"
@@ -819,9 +1059,9 @@ class _Compiler:
         nl = sum(1 for st in ctx["streams"] if st["kind"] == "load")
         ns = sum(1 for st in ctx["streams"] if st["kind"] == "store")
         if nl:
-            self.emit(f"mem.load_count += {nl} * {mv}")
+            self.emit(f"nL += {nl} * {mv}")
         if ns:
-            self.emit(f"mem.store_count += {ns} * {mv}")
+            self.emit(f"nS += {ns} * {mv}")
         for st in ctx["streams"]:
             name, stride, size = st["name"], st["stride"], st["size"]
             if stride == 0:
@@ -856,10 +1096,10 @@ class _Compiler:
             f"l{v}",
             "i32",
             ("local", v, self.lver[v]),
-            ival=post_iv,
+            ival=plan["post_iv"],
             locs=frozenset((v,)),
         )
-        return block_end + 1
+        return cond_pcs
 
     def _emit_scalar_loop(self, v, mv, step, body_lines) -> None:
         if step == 1:
@@ -874,6 +1114,7 @@ class _Compiler:
         self.emit(f"l{v} += {step}")
 
     def _if(self, if_pc, ctr, stream_ctx):
+        """Compile one ``if`` at ``if_pc``; returns ``(next_pc, ctr)``."""
         body = self.body
         if stream_ctx is not None:
             stream_ctx["vec_ok"] = False
@@ -883,36 +1124,37 @@ class _Compiler:
         if self.sym:
             raise Bailout("if entered with non-empty symbolic stack")
         end_pc, else_pc = self.matches[if_pc]
-        self.counter_pcs[ctr].append(if_pc)
-        self.counter_pcs[ctr].append(end_pc)
-        assigned = {
-            body[pc].args[0]
-            for pc in range(if_pc + 1, end_pc)
-            if body[pc].op in ("local.set", "local.tee")
-        }
+        ctr = self._count(ctr, if_pc)
+        assigned = self._assigned(if_pc + 1, end_pc)
         saved = list(self.lvals)
-        t_ctr = self.new_counter([else_pc] if else_pc is not None else [])
-        self.emit(f"if {cond.py}:")
-        self.indent += 1
-        self.emit(f"c{t_ctr} += 1")
-        then_end = else_pc if else_pc is not None else end_pc
-        self._walk(if_pc + 1, then_end, t_ctr, None)
-        if self.sym:
-            raise Bailout("if arm leaves values on stack")
-        self.indent -= 1
-        if else_pc is not None:
+        n0 = self.nchecked
+        self.emit(f"if {self._truth(cond)}:")
+        if else_pc is None:
+            self._arm(if_pc + 1, end_pc, ())
+        else:
+            # The then-arm ends by executing the ``else`` instruction.
+            self._arm(if_pc + 1, else_pc, (else_pc,))
             self.lvals = list(saved)
-            u_ctr = self.new_counter()
             self.emit("else:")
-            self.indent += 1
-            self.emit(f"c{u_ctr} += 1")
-            self._walk(else_pc + 1, end_pc, u_ctr, None)
-            if self.sym:
-                raise Bailout("if arm leaves values on stack")
-            self.indent -= 1
+            self._arm(else_pc + 1, end_pc, ())
         self.lvals = list(saved)
         self._invalidate(assigned)
-        return end_pc + 1
+        if self.nchecked > n0:
+            ctr = None  # an arm can trap: ``end`` needs a new group
+        return end_pc + 1, self._count(ctr, end_pc)
+
+    def _arm(self, start, end, last_pcs) -> None:
+        """One ``if`` arm; ``last_pcs`` run after its body."""
+        self.indent += 1
+        mark = len(self.lines)
+        ctr = self._walk(start, end, None, None)
+        if last_pcs:
+            self._count(ctr, *last_pcs)
+        if self.sym:
+            raise Bailout("if arm leaves values on stack")
+        if len(self.lines) == mark:
+            self.emit("pass")
+        self.indent -= 1
 
     # -- NumPy batching ------------------------------------------------
     def _try_vec(self, ctx):
@@ -1142,9 +1384,15 @@ class _Compiler:
 
     # -- assembly ------------------------------------------------------
     def compile(self) -> dict:
-        c0 = self.new_counter()
-        self.emit(f"c{c0} += 1")
-        self._walk(0, len(self.body), c0, None)
+        depth = 0
+        for ins in self.body:
+            if ins.op in ("block", "loop", "if"):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise Bailout("control nesting too deep")
+            elif ins.op == "end":
+                depth -= 1
+        self._walk(0, len(self.body), None, None)
         if len(self.sym) != self.n_results:
             raise Bailout(
                 f"body ends with {len(self.sym)} values, "
@@ -1166,6 +1414,8 @@ class _Compiler:
                 )
         if self.uses_mem and self.need:
             src.append(pad + f"if len(data) < {self.need}: return 0")
+        for size in sorted(self.limits):
+            src.append(pad + f"z{size} = len(data) - {size}")
         ncounters = len(self.counter_pcs)
         for i in range(0, ncounters, 8):
             src.append(
@@ -1174,16 +1424,31 @@ class _Compiler:
                     f"c{j} = 0" for j in range(i, min(i + 8, ncounters))
                 )
             )
-        src.extend(self.lines)
-        flushes = [
-            (i, pcs) for i, pcs in enumerate(self.counter_pcs) if pcs
-        ]
-        if flushes:
-            src.append(pad + "if C is not None:")
-            for i, pcs in flushes:
+        # Memory traffic is counted in locals and settled at the end;
+        # no code the body can reach reads the memory's counters.
+        flush = []
+        if self.uses_mem:
+            src.append(pad + "nL = nS = 0")
+            flush += [
+                "if nL: mem.load_count += nL",
+                "if nS: mem.store_count += nS",
+            ]
+        groups = [(i, pcs) for i, pcs in enumerate(self.counter_pcs) if pcs]
+        if groups:
+            flush.append("if C is not None:")
+            for i, pcs in groups:
                 name = self.bind("pcs", tuple(pcs), "_P")
-                src.append(pad * 2 + f"if c{i}:")
-                src.append(pad * 3 + f"for _pc in {name}: C[_pc] += c{i}")
+                flush.append(pad + f"if c{i}:")
+                flush.append(pad * 2 + f"for _pc in {name}: C[_pc] += c{i}")
+        if self.nchecked:
+            # A checked access may trap: settle the counters either way.
+            src.append(pad + "try:")
+            src.extend(pad + line for line in self.lines)
+            src.append(pad + "finally:")
+            src.extend(pad * 2 + line for line in flush)
+        else:
+            src.extend(self.lines)
+            src.extend(pad + line for line in flush)
         if results:
             src.append(pad + "S = f.stack")
             for py in results:
@@ -1212,20 +1477,29 @@ def compile_function(
     Returns ``{"eligible": False, "reason": ...}`` when the body falls
     outside the supported shape; never raises :class:`Bailout`.
     """
-    try:
-        compiler = _Compiler(body, matches, local_types, n_params, n_results)
-        return compiler.compile()
-    except Bailout as exc:
-        return {
-            "eligible": False,
-            "reason": str(exc),
-        }
+    no_streams: set = set()
+    while True:
+        try:
+            compiler = _Compiler(
+                body, matches, local_types, n_params, n_results,
+                frozenset(no_streams),
+            )
+            return compiler.compile()
+        except _Restart as exc:
+            no_streams.add(exc.pc)
+        except Bailout as exc:
+            return {
+                "eligible": False,
+                "reason": str(exc),
+            }
 
 
 def install(artifact: dict, memory):
     """Bind an eligible artifact against one instance's memory.
 
-    Returns the handler ``fn(frame, counts) -> -1 (done) | 0 (deopt)``.
+    Returns the handler ``fn(frame, counts) -> -1 (done) | 0 (deopt)``;
+    a checked access that leaves memory raises the interpreter's trap
+    out of it, with ``counts`` and the memory counters settled.
     """
     from repro.runtime import interpreter as I
 
@@ -1240,6 +1514,10 @@ def install(artifact: dict, memory):
             binds[name] = I._BINOPS[arg]
         elif kind == "un":
             binds[name] = I._UNOPS[arg]
+        elif kind == "ld":
+            binds[name] = I._value_loader(memory, arg)
+        elif kind == "st":
+            binds[name] = I._value_storer(memory, arg)
         elif kind == "np":
             binds[name] = _np
         elif kind == "vecmin":

@@ -91,7 +91,11 @@ class TestPageRuns:
                 with pytest.raises(VmaError):
                     getattr(area, op)(offset, length)
             else:
-                pages = set(range(offset // PAGE_SIZE, pages_in(offset + length)))
+                pages = (
+                    set(range(offset // PAGE_SIZE, pages_in(offset + length)))
+                    if length
+                    else set()
+                )
                 if op == "populate":
                     assert area.populate(offset, length) == len(pages - ref)
                     ref |= pages
@@ -106,6 +110,15 @@ class TestPageRuns:
                 runs[k][1] < runs[k + 1][0] for k in range(len(runs) - 1)
             )
             assert {p for start, end in runs for p in range(start, end)} == ref
+
+
+    def test_zero_length_covers_no_page(self):
+        area = Area(start=0, length=AREA_PAGES * PAGE_SIZE, name="runs")
+        assert area.populate(100, 0) == 0
+        assert area.populated_pages == 0
+        area.populate(0, PAGE_SIZE)
+        assert area.zap(100, 0) == 0
+        assert area.populated_pages == 1
 
 
 class TestAddressSpace:

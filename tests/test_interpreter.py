@@ -355,3 +355,23 @@ class TestGlobals:
         interp = Interpreter(mb.build())
         assert interp.invoke("bump") == 6
         assert interp.invoke("bump") == 7
+
+
+class TestInlineTemplates:
+    """The fused and tier-2 code generators inline these expression
+    templates in place of the ``_BINOPS`` table functions, so each must
+    compute exactly what its table function computes."""
+
+    EDGES = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+
+    @pytest.mark.parametrize("op", ["i32.lt_s", "i32.gt_s", "i32.le_s", "i32.ge_s"])
+    def test_signed_i32_compares_match_table(self, op):
+        from repro.runtime import interpreter as I
+
+        value = eval(f"lambda a, b: {I._INLINE_BINOPS[op].format('a', 'b')}")
+        truth = eval(f"lambda a, b: {I._INLINE_CMPS[op].format('a', 'b')}")
+        for a in self.EDGES:
+            for b in self.EDGES:
+                expected = I._BINOPS[op](a, b)
+                assert value(a, b) == expected, (op, a, b)
+                assert bool(truth(a, b)) == bool(expected), (op, a, b)
